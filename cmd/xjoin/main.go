@@ -141,6 +141,10 @@ func run() error {
 	}
 	switch *adMode {
 	case "":
+		if *algo == "xjoin+" {
+			// xjoin+ asks for in-join A-D filtering explicitly.
+			q.WithAD(xmjoin.ADLazy)
+		}
 	case "lazy":
 		q.WithAD(xmjoin.ADLazy)
 	case "posthoc":
@@ -187,9 +191,7 @@ func run() error {
 
 	if *exists {
 		switch *algo {
-		case "xjoin":
-		case "xjoin+":
-			q.WithPartialAD(true)
+		case "xjoin", "xjoin+":
 		case "baseline":
 			return fmt.Errorf("-exists requires -algo xjoin or xjoin+")
 		default:
@@ -262,10 +264,8 @@ func run() error {
 	var res *xmjoin.Result
 	var cancelledErr error
 	switch *algo {
-	case "xjoin":
+	case "xjoin", "xjoin+":
 		res, err = q.ExecXJoinCtx(ctx)
-	case "xjoin+":
-		res, err = q.WithPartialAD(true).ExecXJoinCtx(ctx)
 	case "baseline":
 		res, err = q.ExecBaselineCtx(ctx)
 	default:

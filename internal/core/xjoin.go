@@ -97,11 +97,6 @@ type Options struct {
 	// default. Use ADPostHoc for the paper's plain Algorithm 1 and
 	// ADMaterialized for the quadratic oracle index.
 	AD ADMode
-	// PartialAD is the pre-ADMode switch for the same extension, kept for
-	// compatibility: setting it requests in-join A-D filtering (now lazy).
-	// It only affects the Stats.Algorithm label — filtering is already the
-	// default — and is overridden by an explicit AD mode.
-	PartialAD bool
 	// LazyPC swaps the materialized value-level edge indexes behind the
 	// P-C atoms for structix's lazy region atoms: per-binding child/parent
 	// hops instead of an up-front O(child-count) index build. Results are
@@ -140,8 +135,7 @@ type Options struct {
 	Plan PlanMode
 }
 
-// adMode resolves the effective A-D handling (ADDefault becomes ADLazy;
-// PartialAD requests the same lazy filtering the default already runs).
+// adMode resolves the effective A-D handling (ADDefault becomes ADLazy).
 func (o Options) adMode() ADMode {
 	switch o.AD {
 	case ADLazy, ADPostHoc, ADMaterialized:
@@ -157,8 +151,8 @@ func (o Options) atomConfig() atomConfig {
 
 // algoLabel names the run for Stats.Algorithm. In-join A-D filtering is on
 // by default, so the label distinguishes what the caller *asked for*:
-// "xjoin+" only for an explicit filtering request (PartialAD or a non-
-// default AD mode other than ADPostHoc); default runs keep the historical
+// "xjoin+" only for an explicit filtering request (an AD mode other than
+// ADDefault and ADPostHoc); default runs keep the historical
 // "xjoin" label and report the effective mode in Stats.ADMode instead.
 // Non-default plan modes get their own labels, so the per-algorithm query
 // metrics separate hybrid and forced-binary runs.
@@ -172,7 +166,7 @@ func (o Options) algoLabel() string {
 	if o.adMode() == ADPostHoc {
 		return "xjoin"
 	}
-	if o.PartialAD || o.AD != ADDefault {
+	if o.AD != ADDefault {
 		return "xjoin+"
 	}
 	return "xjoin"
@@ -473,13 +467,14 @@ func Prepare(q *Query, opts Options) (Options, error) {
 		}
 	}
 	if opts.Order == nil {
+		// Every strategy returns a permutation of q's attributes, so only
+		// an explicit order needs checking here.
 		order, err := chooseOrderErr(q, opts.Strategy)
 		if err != nil {
 			return opts, err
 		}
 		opts.Order = order
-	}
-	if err := checkOrder(q, opts.Order); err != nil {
+	} else if err := checkOrder(q, opts.Order); err != nil {
 		return opts, err
 	}
 	q.atoms(opts.atomConfig())

@@ -201,11 +201,11 @@ func TestViaADModes(t *testing.T) {
 
 func TestExplainStatement(t *testing.T) {
 	db := testDB(t)
-	st, err := Parse(`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA xjoinplus`)
+	p, err := PrepareString(db, `SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA xjoinplus`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Explain(db, st)
+	plan, err := p.Explain()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,29 +3,44 @@ package mmql
 import (
 	"context"
 	"fmt"
+	"time"
 
 	xmjoin "repro"
 )
 
-// Prepared is an mmql statement frozen for repeated execution — the unit
-// the serving layer caches, keyed by statement text. Prepare runs the
-// whole front half of runStatement once (parse already done, filter
-// pushdown, query assembly, plan resolution via xmjoin's PreparedQuery)
-// and keeps the residual post-join work (filters that could not be pushed,
-// projection/aggregation items, a LIMIT that could not reach the engine)
-// to replay per execution. Warm executions therefore perform pure join
-// work against the database's shared catalog: zero parsing, zero
-// planning, zero atom construction.
+// Prepared is an mmql statement ready to run — the one path every
+// statement takes (RunCtx is PrepareStatement plus ExecuteCtx) and the
+// unit the serving layer caches, keyed by statement text. Preparing does
+// the front half once: equality selections on twig tags are pushed into
+// the patterns as tag="value" filters, the multi-model query is assembled
+// with the VIA algorithm's options, and its plan (attribute order, atom
+// set) is frozen in an xmjoin.PreparedQuery. Each execution replays only
+// the residual work: selections that could not be pushed, the SELECT
+// list's projection or aggregates, and LIMIT. Warm executions therefore
+// perform pure join work against the database's shared catalog: zero
+// parsing, zero planning, zero atom construction.
+//
+// LIMIT truncates the output rows; for a SELECT * with no residual
+// filters it is additionally pushed into the engine, so the join itself
+// stops after LIMIT answers. Only there do engine answers map 1:1 to
+// output rows: a projection list deduplicates, so an engine-side stop
+// could silently drop distinct output rows, and those cases limit after
+// the join. EXISTS statements stream the join and stop at the first
+// answer that survives the residual filters.
+//
+// EXPLAIN statements execute to the plan text (see Explain); EXPLAIN
+// ANALYZE statements run for real under a new trace on every execution
+// and return its span tree. VIA baseline statements keep the assembled
+// query unfrozen and run it through the baseline's binary joins.
 //
 // A Prepared is immutable and safe for concurrent ExecuteCtx/Rows/Explain
-// calls. EXPLAIN/EXPLAIN ANALYZE statements are not preparable (they
-// describe one execution, not a reusable plan) — PrepareStatement rejects
-// them; run those through RunCtx.
+// calls.
 type Prepared struct {
 	st        *Statement
-	q         *xmjoin.PreparedQuery
+	q         *xmjoin.PreparedQuery // nil for VIA baseline
+	base      *xmjoin.Query         // VIA baseline only
 	remaining []Filter
-	pushLimit bool
+	prepDur   time.Duration // the prepare span of EXPLAIN ANALYZE traces
 }
 
 // PrepareString parses and prepares src against db.
@@ -45,17 +60,7 @@ func PrepareStringCtx(ctx context.Context, db *xmjoin.Database, src string) (*Pr
 
 // PrepareStatement prepares a parsed statement against db; see Prepared.
 func PrepareStatement(ctx context.Context, db *xmjoin.Database, st *Statement) (*Prepared, error) {
-	if st.Explain {
-		return nil, fmt.Errorf("mmql: EXPLAIN statements are not preparable; use RunCtx")
-	}
-	if st.Algo == "baseline" {
-		return nil, fmt.Errorf("mmql: VIA baseline is not preparable; use RunCtx")
-	}
-	switch st.Algo {
-	case "", "xjoin", "xjoin+", "xjoin-posthoc", "xjoin-materialized", "xjoin-hybrid", "xjoin-binary":
-	default:
-		return nil, fmt.Errorf("mmql: unknown algorithm %q", st.Algo)
-	}
+	start := time.Now()
 	twigs, remaining, err := pushdownFilters(st)
 	if err != nil {
 		return nil, err
@@ -64,41 +69,70 @@ func PrepareStatement(ctx context.Context, db *xmjoin.Database, st *Statement) (
 	if err != nil {
 		return nil, err
 	}
-	applyAlgo(q, st.Algo)
-	q.WithLabel(st.label())
-	// Same pushdown rule as runStatement: engine-side LIMIT is safe only
-	// when answer tuples map 1:1 to output rows.
-	pushLimit := st.Limit > 0 && st.Items == nil && len(remaining) == 0 && !st.Exists
-	if pushLimit {
-		q.WithLimit(st.Limit)
-	}
-	pq, err := q.PrepareCtx(ctx)
-	if err != nil {
+	if err := applyAlgo(q, st.Algo); err != nil {
 		return nil, err
 	}
-	return &Prepared{st: st, q: pq, remaining: remaining, pushLimit: pushLimit}, nil
+	q.WithLabel(st.label())
+	if st.Limit > 0 && st.Items == nil && len(remaining) == 0 && !st.Exists {
+		q.WithLimit(st.Limit)
+	}
+	p := &Prepared{st: st, remaining: remaining}
+	if st.Algo == "baseline" && !st.Exists { // EXISTS always streams (Parse rejects it VIA baseline)
+		p.base = q
+	} else if p.q, err = q.PrepareCtx(ctx); err != nil {
+		return nil, err
+	}
+	p.prepDur = time.Since(start)
+	return p, nil
 }
 
 // Statement returns the prepared statement (callers must not mutate it).
 func (p *Prepared) Statement() *Statement { return p.st }
 
-// Explain renders the frozen plan.
-func (p *Prepared) Explain() (string, error) { return p.q.Explain() }
+// Explain renders the plan the statement runs (always the XJoin plan; the
+// baseline has a fixed shape). Pushed-down selections are reflected in
+// the plan's atom cardinalities.
+func (p *Prepared) Explain() (string, error) {
+	if p.base != nil {
+		return p.base.Explain()
+	}
+	return p.q.Explain()
+}
 
-// ExecuteCtx runs the statement over the frozen plan; the semantics match
-// RunCtx on the same statement. Unlike RunCtx it supports per-call
-// ExecOptions — the serving layer passes Parallelism and relies on the
-// context for deadlines.
+// ExecuteCtx runs the statement; per-call ExecOptions reach the engine
+// (the serving layer passes Parallelism and relies on the context for
+// deadlines).
 //
 // A cancelled or deadline-pre-empted run returns the partial output built
 // from the rows found so far (Stats.Cancelled set) alongside an error
 // matching xmjoin.ErrCancelled, so servers can deliver partial answers
 // with an honest marker instead of nothing.
 func (p *Prepared) ExecuteCtx(ctx context.Context, opts ...xmjoin.ExecOptions) (*Output, error) {
+	switch {
+	case p.st.Analyze:
+		return p.analyze(ctx, opts)
+	case p.st.Explain:
+		text, err := p.Explain()
+		if err != nil {
+			return nil, err
+		}
+		return &Output{Text: text}, nil
+	}
+	return p.run(ctx, opts...)
+}
+
+// run executes the statement itself, EXPLAIN prefix aside.
+func (p *Prepared) run(ctx context.Context, opts ...xmjoin.ExecOptions) (*Output, error) {
 	if p.st.Exists {
 		return p.executeExists(ctx, opts...)
 	}
-	res, execErr := p.q.ExecuteCtx(ctx, opts...)
+	var res *xmjoin.Result
+	var execErr error
+	if p.base != nil {
+		res, execErr = p.base.ExecBaselineCtx(ctx)
+	} else {
+		res, execErr = p.q.ExecuteCtx(ctx, opts...)
+	}
 	if res == nil {
 		return nil, execErr
 	}
@@ -107,6 +141,29 @@ func (p *Prepared) ExecuteCtx(ctx context.Context, opts ...xmjoin.ExecOptions) (
 		return nil, err
 	}
 	return out, execErr
+}
+
+// analyze executes an EXPLAIN ANALYZE statement under a fresh trace: the
+// parse and prepare times, then every span the run records (plan, lazy
+// index builds, execution with per-level join counters). The output's
+// Text is the span tree; Stats are the run's.
+func (p *Prepared) analyze(ctx context.Context, opts []xmjoin.ExecOptions) (*Output, error) {
+	tr := xmjoin.NewTrace(p.st.label())
+	if p.st.parseDur > 0 {
+		tr.Add("parse", p.st.parseDur)
+	}
+	tr.Add("prepare", p.prepDur)
+	var o xmjoin.ExecOptions
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	o.Trace = tr
+	out, err := p.run(ctx, o)
+	tr.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return &Output{Text: tr.Render(), Stats: out.Stats}, nil
 }
 
 // finish applies the residual post-join work to a materialized result.
@@ -140,7 +197,10 @@ func (p *Prepared) finish(res *xmjoin.Result) (*Output, error) {
 	return out, nil
 }
 
-// executeExists mirrors runExists over the frozen plan.
+// executeExists answers an EXISTS statement, always streaming: without
+// residual filters it stops at the first validated answer; with them it
+// streams on, applying the filters per row, and stops at the first row
+// that survives — never materializing the result either way.
 func (p *Prepared) executeExists(ctx context.Context, opts ...xmjoin.ExecOptions) (*Output, error) {
 	var found bool
 	if len(p.remaining) == 0 {
@@ -163,6 +223,8 @@ func (p *Prepared) executeExists(ctx context.Context, opts ...xmjoin.ExecOptions
 			found = true
 			return false
 		}, opts...); err != nil && !found {
+			// A true answer seen before the context ended is definitive;
+			// otherwise the cancellation (or failure) is the answer.
 			return nil, err
 		}
 	}
@@ -189,12 +251,13 @@ func filterColumns(order []string, filters []Filter) ([]int, error) {
 
 // Streamable reports whether the statement's answers can leave row by row
 // with unchanged values: aggregates and EXISTS need the whole result (or
-// a probe), so they are not streamable; plain SELECTs are. Streaming
+// a probe), EXPLAIN returns text and the baseline materializes, so none
+// of those are streamable; plain SELECTs are. Streaming
 // skips projectOutput's dedup/sort — callers get the engine's answer
 // stream order, possibly with duplicate projected rows (documented at the
 // serving layer).
 func (p *Prepared) Streamable() bool {
-	return !p.st.Exists && !p.st.HasAggregates() && len(p.st.GroupBy) == 0
+	return p.q != nil && !p.st.Explain && !p.st.Exists && !p.st.HasAggregates() && len(p.st.GroupBy) == 0
 }
 
 // StreamRows is a pull cursor over a prepared statement's streamed
@@ -217,7 +280,7 @@ type StreamRows struct {
 // — execute those with ExecuteCtx.
 func (p *Prepared) Rows(ctx context.Context, opts ...xmjoin.ExecOptions) (*StreamRows, error) {
 	if !p.Streamable() {
-		return nil, fmt.Errorf("mmql: statement is not streamable (aggregates, GROUP BY or EXISTS); use ExecuteCtx")
+		return nil, fmt.Errorf("mmql: statement is not streamable (aggregates, GROUP BY, EXISTS, EXPLAIN or VIA baseline); use ExecuteCtx")
 	}
 	order := p.q.Order()
 	var attrs []string

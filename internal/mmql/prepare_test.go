@@ -3,6 +3,7 @@ package mmql
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -23,14 +24,21 @@ var prepareEquivalenceQueries = []string{
 	`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA hybrid`,
 }
 
-// TestPreparedMatchesRun: executing a Prepared must produce exactly
-// RunString's output, warm or cold.
-func TestPreparedMatchesRun(t *testing.T) {
+// TestPreparedMatchesBaseline: every statement shape, executed cold and
+// then warm through one Prepared, must produce the output of the same
+// statement run VIA baseline — TwigStack plus binary joins, an engine
+// independent of the prepared XJoin plan.
+func TestPreparedMatchesBaseline(t *testing.T) {
 	for _, src := range prepareEquivalenceQueries {
 		db := testDB(t)
-		want, err := RunString(db, src)
+		st, err := Parse(src)
 		if err != nil {
-			t.Fatalf("%s: run: %v", src, err)
+			t.Fatal(err)
+		}
+		st.Algo = "baseline"
+		want, err := RunCtx(nil, db, st)
+		if err != nil {
+			t.Fatalf("%s: baseline: %v", src, err)
 		}
 		p, err := PrepareString(db, src)
 		if err != nil {
@@ -143,16 +151,50 @@ func TestPreparedRowsLimit(t *testing.T) {
 	}
 }
 
-// TestPreparedRejectsExplain: EXPLAIN statements describe one execution
-// and must not enter a prepared-statement cache.
-func TestPreparedRejectsExplain(t *testing.T) {
+// TestPreparedExplain: a prepared EXPLAIN executes to the plan text, and
+// every execution of a prepared EXPLAIN ANALYZE runs under its own trace —
+// two executions return two span trees, not one growing tree.
+func TestPreparedExplain(t *testing.T) {
 	db := testDB(t)
-	for _, src := range []string{
-		`EXPLAIN SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
-		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA baseline`,
-	} {
-		if _, err := PrepareString(db, src); err == nil {
-			t.Fatalf("%s: want prepare error", src)
+	const sel = `SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`
+	p, err := PrepareString(db, "EXPLAIN "+sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.ExecuteCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := p.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Text != plan || !strings.Contains(plan, "PA") || out.Stats != nil || p.Streamable() {
+		t.Fatalf("EXPLAIN output (stats=%v, streamable=%v):\n%s\nwant the plan:\n%s", out.Stats, p.Streamable(), out.Text, plan)
+	}
+
+	p, err = PrepareString(db, "EXPLAIN ANALYZE "+sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
+	for i := 0; i < 2; i++ {
+		out, err := p.ExecuteCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Stats == nil || out.Stats.Output == 0 {
+			t.Fatalf("execution %d did not run: %+v", i, out.Stats)
+		}
+		texts = append(texts, out.Text)
+	}
+	for i, text := range texts {
+		// Top-level spans render as "\n  name  [duration]": one of each
+		// per tree, or the executions shared a trace.
+		for _, span := range []string{"parse", "prepare", "plan", "execute"} {
+			if n := strings.Count(text, "\n  "+span+"  ["); n != 1 {
+				t.Fatalf("execution %d: %d %q spans, want 1:\n%s", i, n, span, text)
+			}
 		}
 	}
 }

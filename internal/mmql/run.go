@@ -9,167 +9,30 @@ import (
 	"repro/internal/twig"
 )
 
-// Run executes a parsed statement against a database: equality selections
-// on twig tags are pushed into the patterns as tag="value" filters, the
-// multi-model query is evaluated with the requested algorithm, any
-// remaining selections are applied to the result, and the SELECT list is
-// projected or aggregated.
-//
-// EXISTS statements stream the join and stop at the first validated
-// answer. LIMIT truncates the output rows; for a SELECT * with no
-// post-join filters or aggregates it is additionally pushed into the
-// engine, so the join itself terminates after LIMIT answers (projection
-// with an explicit item list deduplicates, where an engine-side stop could
-// silently drop distinct output rows — those cases limit post-hoc).
+// Run executes a parsed statement against a database: RunCtx with no
+// bound.
 func Run(db *xmjoin.Database, st *Statement) (*Output, error) {
 	return RunCtx(nil, db, st)
 }
 
-// RunCtx is Run bounded by ctx (nil = unbounded): cancellation or a
-// deadline stops the join within one morsel's work and surfaces an error
-// matching xmjoin.ErrCancelled — the shell maps Ctrl-C onto this.
+// RunCtx prepares st (see Prepared for how each statement kind runs) and
+// executes it once under ctx (nil = unbounded): cancellation or a
+// deadline stops the join within one morsel's work — the shell maps
+// Ctrl-C onto this. As with Prepared.ExecuteCtx, a cancelled run returns
+// the partial output found so far together with an error matching
+// xmjoin.ErrCancelled.
 //
 // EXPLAIN statements render the plan without executing. EXPLAIN ANALYZE
 // statements execute for real — catalog effects, metrics and the
 // slow-query log all see the run — under a trace, and the output's Text
-// is the span tree: parse and plan times, every lazy index build the run
-// admitted, and execution with per-level join counters.
+// is the span tree: parse and prepare times, every lazy index build the
+// run admitted, and execution with per-level join counters.
 func RunCtx(ctx context.Context, db *xmjoin.Database, st *Statement) (*Output, error) {
-	if st.Explain && !st.Analyze {
-		text, err := Explain(db, st)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Text: text}, nil
-	}
-	var tr *xmjoin.Trace
-	if st.Analyze {
-		tr = xmjoin.NewTrace(st.label())
-		if st.parseDur > 0 {
-			tr.Add("parse", st.parseDur)
-		}
-	}
-	out, err := runStatement(ctx, db, st, tr)
-	if tr != nil {
-		tr.Finish()
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Text: tr.Render(), Stats: out.Stats}, nil
-	}
-	return out, err
-}
-
-// runStatement executes a (non-EXPLAIN) statement, tracing under tr when
-// non-nil.
-func runStatement(ctx context.Context, db *xmjoin.Database, st *Statement, tr *xmjoin.Trace) (*Output, error) {
-	twigs, remaining, err := pushdownFilters(st)
+	p, err := PrepareStatement(ctx, db, st)
 	if err != nil {
 		return nil, err
 	}
-	q, err := db.QueryOn(twigs, st.Tables...)
-	if err != nil {
-		return nil, err
-	}
-	applyAlgo(q, st.Algo)
-	q.WithTrace(tr).WithLabel(st.label())
-
-	if st.Exists {
-		return runExists(ctx, q, remaining)
-	}
-
-	// LIMIT pushdown: safe exactly when the engine's answer tuples map
-	// 1:1 to output rows (SELECT * keeps the engine's set semantics) and
-	// nothing downstream can discard rows.
-	if st.Limit > 0 && st.Items == nil && len(remaining) == 0 {
-		q.WithLimit(st.Limit)
-	}
-
-	var res *xmjoin.Result
-	switch st.Algo {
-	case "", "xjoin", "xjoin+", "xjoin-posthoc", "xjoin-materialized", "xjoin-hybrid", "xjoin-binary":
-		res, err = q.ExecXJoinCtx(ctx)
-	case "baseline":
-		res, err = q.ExecBaselineCtx(ctx)
-	default:
-		return nil, fmt.Errorf("mmql: unknown algorithm %q", st.Algo)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if len(remaining) > 0 {
-		res, err = applyFilters(res, remaining)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	attrs := res.Attrs()
-	rows := make([][]string, res.Len())
-	for i := range rows {
-		rows[i] = append([]string(nil), res.Row(i)...)
-	}
-
-	var out *Output
-	if st.HasAggregates() || len(st.GroupBy) > 0 {
-		out, err = aggregate(attrs, rows, st.Items, st.GroupBy)
-	} else {
-		out, err = projectOutput(attrs, rows, st.Items)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if st.Limit > 0 && len(out.Rows) > st.Limit {
-		out.Rows = out.Rows[:st.Limit]
-	}
-	stats := res.Stats()
-	out.Stats = &stats
-	return out, nil
-}
-
-// runExists answers an EXISTS statement, always streaming: without
-// residual post-join filters it stops at the first validated answer; with
-// them it streams on, applying the filters per row, and stops at the
-// first row that survives — never materializing the result either way.
-func runExists(ctx context.Context, q *xmjoin.Query, remaining []Filter) (*Output, error) {
-	var found bool
-	if len(remaining) == 0 {
-		ok, err := q.ExistsCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		found = ok
-	} else {
-		order := q.PlanOrder()
-		cols := make([]int, len(remaining))
-		for i, f := range remaining {
-			cols[i] = -1
-			for j, a := range order {
-				if a == f.Attr {
-					cols[i] = j
-					break
-				}
-			}
-			if cols[i] < 0 {
-				return nil, fmt.Errorf("mmql: WHERE references unknown attribute %q", f.Attr)
-			}
-		}
-		if _, err := q.ExecXJoinStreamCtx(ctx, func(row []string) bool {
-			for i, f := range remaining {
-				if row[cols[i]] != f.Value {
-					return true // filtered out; keep streaming
-				}
-			}
-			found = true
-			return false
-		}); err != nil && !found {
-			// A true answer seen before the context ended is definitive;
-			// otherwise the cancellation (or failure) is the answer.
-			return nil, err
-		}
-	}
-	return &Output{Attrs: []string{"exists"}, Rows: [][]string{{fmt.Sprint(found)}}}, nil
+	return p.ExecuteCtx(ctx)
 }
 
 // RunString parses and executes src.
@@ -186,31 +49,16 @@ func RunStringCtx(ctx context.Context, db *xmjoin.Database, src string) (*Output
 	return RunCtx(ctx, db, st)
 }
 
-// Explain renders the plan the statement's query would run (always the
-// XJoin plan; the baseline has a fixed shape). Pushed-down selections are
-// reflected in the plan's atom cardinalities.
-func Explain(db *xmjoin.Database, st *Statement) (string, error) {
-	twigs, _, err := pushdownFilters(st)
-	if err != nil {
-		return "", err
-	}
-	q, err := db.QueryOn(twigs, st.Tables...)
-	if err != nil {
-		return "", err
-	}
-	applyAlgo(q, st.Algo)
-	return q.Explain()
-}
-
 // applyAlgo maps a VIA algorithm name onto the query's options: xjoin+
-// tags the (already default) in-join A-D filtering, the posthoc and
-// materialized variants pick those explicit modes, hybrid and binary
-// select the cost-based planner's plan modes. "baseline" and plain
+// asks for the (already default) lazy in-join A-D filtering explicitly,
+// the posthoc and materialized variants pick those modes, hybrid and
+// binary select the cost-based planner's plan modes. "baseline" and plain
 // "xjoin" leave the defaults.
-func applyAlgo(q *xmjoin.Query, algo string) {
+func applyAlgo(q *xmjoin.Query, algo string) error {
 	switch algo {
+	case "", "xjoin", "baseline":
 	case "xjoin+":
-		q.WithPartialAD(true)
+		q.WithAD(xmjoin.ADLazy)
 	case "xjoin-posthoc":
 		q.WithAD(xmjoin.ADPostHoc)
 	case "xjoin-materialized":
@@ -219,7 +67,10 @@ func applyAlgo(q *xmjoin.Query, algo string) {
 		q.WithPlan(xmjoin.PlanHybrid)
 	case "xjoin-binary":
 		q.WithPlan(xmjoin.PlanBinary)
+	default:
+		return fmt.Errorf("mmql: unknown algorithm %q", algo)
 	}
+	return nil
 }
 
 // pushdownFilters rewrites WHERE selections on twig tags into tag="value"
@@ -264,19 +115,9 @@ filters:
 
 // applyFilters keeps the rows matching every attr = value selection.
 func applyFilters(res *xmjoin.Result, filters []Filter) (*xmjoin.Result, error) {
-	cols := make([]int, len(filters))
-	attrs := res.Attrs()
-	for i, f := range filters {
-		cols[i] = -1
-		for j, a := range attrs {
-			if a == f.Attr {
-				cols[i] = j
-				break
-			}
-		}
-		if cols[i] < 0 {
-			return nil, fmt.Errorf("mmql: WHERE references unknown attribute %q", f.Attr)
-		}
+	cols, err := filterColumns(res.Attrs(), filters)
+	if err != nil {
+		return nil, err
 	}
 	return res.Filter(func(row []string) bool {
 		for i, f := range filters {

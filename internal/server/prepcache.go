@@ -42,11 +42,18 @@ func newPrepCache(capacity int) *prepCache {
 	return &prepCache{cap: capacity, lru: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// get returns the prepared statement for key, building it at most once
-// per cache generation via build. hit reports whether an entry already
-// existed (even if its build is still in flight on another goroutine —
-// this caller reuses it, which is a hit).
-func (c *prepCache) get(key string, build func() (*mmql.Prepared, error)) (p *mmql.Prepared, hit bool, err error) {
+// get returns st prepared by build. EXPLAIN statements render or trace
+// one execution and VIA baseline statements freeze no plan, so those are
+// built per request and reported as cache "bypass". Any other statement
+// is cached under key and built at most once per cache generation; cache
+// reports "hit" when an entry already existed (even if its build is still
+// in flight on another goroutine — this caller reuses it) and "miss"
+// otherwise.
+func (c *prepCache) get(key string, st *mmql.Statement, build func() (*mmql.Prepared, error)) (p *mmql.Prepared, cache string, err error) {
+	if st.Explain || st.Algo == "baseline" {
+		p, err = build()
+		return p, "bypass", err
+	}
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
@@ -65,6 +72,10 @@ func (c *prepCache) get(key string, build func() (*mmql.Prepared, error)) (p *mm
 	e := el.Value.(*prepEntry)
 	c.mu.Unlock()
 
+	cache = "miss"
+	if ok {
+		cache = "hit"
+	}
 	e.once.Do(func() { e.p, e.err = build() })
 	if e.err != nil {
 		// Drop the failed entry (if it is still the cached one) so a
@@ -75,9 +86,9 @@ func (c *prepCache) get(key string, build func() (*mmql.Prepared, error)) (p *mm
 			delete(c.entries, key)
 		}
 		c.mu.Unlock()
-		return nil, ok, e.err
+		return nil, cache, e.err
 	}
-	return e.p, ok, nil
+	return e.p, cache, nil
 }
 
 // PrepCacheStats is a prepared-statement cache snapshot, served by

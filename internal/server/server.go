@@ -251,32 +251,22 @@ func (s *Server) requestContext(r *http.Request, req queryRequest) (context.Cont
 	return context.WithTimeout(r.Context(), d)
 }
 
-// execute runs one statement for a tenant through its prepared-statement
-// cache (EXPLAIN and VIA baseline bypass it — they are not preparable).
-func (t *Tenant) execute(ctx context.Context, text string) (out *mmql.Output, cache string, err error) {
-	st, perr := mmql.Parse(text)
-	if perr != nil {
-		return nil, "", badRequestError{perr}
+// prepare parses text and prepares it through the tenant's statement
+// cache (see prepCache.get for what bypasses it) — the front half /query
+// and /stream share. Failures other than cancellation are the request's
+// own and come back as badRequestError.
+func (t *Tenant) prepare(ctx context.Context, text string) (p *mmql.Prepared, cache string, err error) {
+	st, err := mmql.Parse(text)
+	if err != nil {
+		return nil, "", badRequestError{err}
 	}
-	if st.Explain || st.Algo == "baseline" {
-		out, err = mmql.RunCtx(ctx, t.db, st)
-		return out, "bypass", err
-	}
-	p, hit, err := t.prep.get(text, func() (*mmql.Prepared, error) {
+	p, cache, err = t.prep.get(text, st, func() (*mmql.Prepared, error) {
 		return mmql.PrepareStatement(ctx, t.db, st)
 	})
-	cache = "miss"
-	if hit {
-		cache = "hit"
+	if err != nil && !errors.Is(err, xmjoin.ErrCancelled) {
+		err = badRequestError{err}
 	}
-	if err != nil {
-		if errors.Is(err, xmjoin.ErrCancelled) {
-			return nil, cache, err
-		}
-		return nil, cache, badRequestError{err}
-	}
-	out, err = p.ExecuteCtx(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
-	return out, cache, err
+	return p, cache, err
 }
 
 // badRequestError marks failures of the request itself (parse errors,
@@ -304,7 +294,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	out, cacheState, err := t.execute(ctx, req.Query)
+	p, cacheState, err := t.prepare(ctx, req.Query)
+	var out *mmql.Output
+	if err == nil {
+		out, err = p.ExecuteCtx(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
+	}
 	resp := queryResponse{Tenant: req.Tenant, Cache: cacheState, Rows: [][]string{}}
 	if out != nil {
 		resp.Columns = out.Attrs
@@ -318,22 +312,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	if resp.Cancelled, ok = t.outcome(w, err); ok {
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// outcome maps an execution error the same way for /query and /stream:
+// nil passes; a cancellation passes as a flagged partial answer; anything
+// else is counted and answered here — 400 for the request's own faults,
+// 500 for the engine's — and ok is false.
+func (t *Tenant) outcome(w http.ResponseWriter, err error) (cancelled, ok bool) {
 	switch {
 	case err == nil:
+		return false, true
 	case errors.Is(err, xmjoin.ErrCancelled):
-		resp.Cancelled = true
 		t.mDeadline.Inc()
-	default:
-		t.mErrors.Inc()
-		var bad badRequestError
-		if errors.As(err, &bad) {
-			writeError(w, http.StatusBadRequest, "query_error", err.Error())
-		} else {
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
-		return
+		return true, true
 	}
-	writeJSON(w, http.StatusOK, resp)
+	t.mErrors.Inc()
+	var bad badRequestError
+	if errors.As(err, &bad) {
+		writeError(w, http.StatusBadRequest, "query_error", err.Error())
+	} else {
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	}
+	return false, false
 }
 
 // writeAdmissionError maps an admit failure: queue overflow → 429 with
@@ -377,9 +380,9 @@ type streamChunk struct {
 // join still runs, backed by the pull cursor's NextBatch. Streaming
 // bypasses the materialized path's dedup/sort — rows arrive in engine
 // order and a projected SELECT may repeat rows (documented contract).
-// Statements that need the whole result (aggregates, GROUP BY, EXISTS,
-// EXPLAIN) fall back to materialized execution and stream the finished
-// rows in chunks.
+// Statements that are not Streamable (aggregates, GROUP BY, EXISTS,
+// EXPLAIN, VIA baseline) fall back to materialized execution and stream
+// the finished rows in chunks.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	req, t, ok := s.readRequest(w, r)
 	if !ok {
@@ -395,33 +398,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 
-	st, perr := mmql.Parse(req.Query)
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, "query_error", perr.Error())
-		return
-	}
-	streamable := !st.Explain && st.Algo != "baseline" && !st.Exists && !st.HasAggregates() && len(st.GroupBy) == 0
-	if !streamable {
-		s.streamMaterialized(w, t, ctx, req, start)
-		return
-	}
-
-	p, hit, err := t.prep.get(req.Query, func() (*mmql.Prepared, error) {
-		return mmql.PrepareStatement(ctx, t.db, st)
-	})
-	cacheState := "miss"
-	if hit {
-		cacheState = "hit"
-	}
-	if err != nil {
-		t.mErrors.Inc()
-		writeError(w, http.StatusBadRequest, "query_error", err.Error())
+	p, cacheState, err := t.prepare(ctx, req.Query)
+	if err != nil || !p.Streamable() {
+		var out *mmql.Output
+		if err == nil {
+			out, err = p.ExecuteCtx(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
+		}
+		t.streamMaterialized(w, out, cacheState, err, start)
 		return
 	}
 	rows, err := p.Rows(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
 	if err != nil {
-		t.mErrors.Inc()
-		writeError(w, http.StatusBadRequest, "query_error", err.Error())
+		if !errors.Is(err, xmjoin.ErrCancelled) {
+			err = badRequestError{err} // an unknown projected or filtered attribute
+		}
+		t.streamMaterialized(w, nil, cacheState, err, start)
 		return
 	}
 	defer rows.Close()
@@ -465,25 +456,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(trailer)
 }
 
-// streamMaterialized answers /stream for non-streamable statements:
-// execute materialized, then chunk the finished rows out in the same
-// NDJSON shape.
-func (s *Server) streamMaterialized(w http.ResponseWriter, t *Tenant, ctx context.Context, req queryRequest, start time.Time) {
-	out, cacheState, err := t.execute(ctx, req.Query)
-	cancelled := false
-	switch {
-	case err == nil:
-	case errors.Is(err, xmjoin.ErrCancelled):
-		cancelled = true
-		t.mDeadline.Inc()
-	default:
-		t.mErrors.Inc()
-		var bad badRequestError
-		if errors.As(err, &bad) {
-			writeError(w, http.StatusBadRequest, "query_error", err.Error())
-		} else {
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
+// streamMaterialized answers /stream for non-streamable statements, and
+// for runs that end before a cursor opens: the finished output, chunked
+// out in the same NDJSON shape, after /query's error mapping.
+func (t *Tenant) streamMaterialized(w http.ResponseWriter, out *mmql.Output, cacheState string, err error, start time.Time) {
+	cancelled, ok := t.outcome(w, err)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -517,12 +495,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, perr := mmql.Parse(req.Query)
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, "query_error", perr.Error())
+	p, err := mmql.PrepareStringCtx(r.Context(), t.db, req.Query)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "query_error", err.Error())
 		return
 	}
-	text, err := mmql.Explain(t.db, st)
+	text, err := p.Explain()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "query_error", err.Error())
 		return

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/mmql"
 	"repro/internal/obs"
 )
 
@@ -244,6 +246,46 @@ func TestExplainStatementBypassesCache(t *testing.T) {
 	tn, _ := srv.Tenant("acme")
 	if st := tn.prep.stats(); st.Entries != 0 {
 		t.Fatalf("EXPLAIN entered the prep cache: %+v", st)
+	}
+}
+
+// TestQueryMatchesRun: /query and mmql.RunStringCtx are one statement
+// pipeline, so they must return the same columns and rows for every
+// statement shape (the list mirrors mmql's prepared-equivalence suite).
+// The server runs serially here, as RunStringCtx does: a LIMIT pushed into
+// a parallel run keeps a scheduling-dependent subset of the answers.
+func TestQueryMatchesRun(t *testing.T) {
+	srv, ts := demoServer(t, Config{Parallelism: 1})
+	tn, _ := srv.Tenant("acme")
+	for _, src := range []string{
+		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
+		`SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
+		`SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`,
+		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`,
+		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' LIMIT 1`,
+		`SELECT userID FROM R, TWIG '/invoices/orderLine[orderID]/price' LIMIT 1`,
+		`SELECT COUNT(*), MIN(price) FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
+		`SELECT userID, COUNT(*) FROM R, TWIG '/invoices/orderLine[orderID]/price' GROUP BY userID`,
+		`EXISTS SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
+		`EXISTS SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'nobody'`,
+		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA hybrid`,
+	} {
+		want, err := mmql.RunStringCtx(context.Background(), tn.db, src)
+		if err != nil {
+			t.Fatalf("%s: run: %v", src, err)
+		}
+		resp, data := postJSON(t, ts.URL+"/query", queryRequest{Tenant: "acme", Query: src})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", src, resp.StatusCode, data)
+		}
+		var qr queryResponse
+		if err := json.Unmarshal(data, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(qr.Columns, want.Attrs) || !reflect.DeepEqual(qr.Rows, want.Rows) {
+			t.Fatalf("%s:\n/query columns=%v rows=%v\n  run columns=%v rows=%v",
+				src, qr.Columns, qr.Rows, want.Attrs, want.Rows)
+		}
 	}
 }
 

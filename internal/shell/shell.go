@@ -160,11 +160,11 @@ func (s *Shell) ExecuteCtx(ctx context.Context, line string) error {
 		return nil
 	case ".explain":
 		rest := strings.TrimSpace(strings.TrimPrefix(line, ".explain"))
-		st, err := mmql.Parse(rest)
+		p, err := mmql.PrepareStringCtx(ctx, s.db, rest)
 		if err != nil {
 			return err
 		}
-		plan, err := mmql.Explain(s.db, st)
+		plan, err := p.Explain()
 		if err != nil {
 			return err
 		}

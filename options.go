@@ -2,11 +2,8 @@ package xmjoin
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/relational"
-	"repro/internal/xmldb"
 )
 
 // Stats re-exports the execution statistics every run reports (see the
@@ -82,30 +79,4 @@ func buildExecOptions(base core.Options, ctx context.Context, opts []ExecOptions
 		o.Context = ctx
 	}
 	return o
-}
-
-// streamDecoded drives the streaming executor over the built options,
-// decoding each validated tuple into a reused string row for emit — the
-// one implementation behind Query.ExecXJoinStream[Ctx],
-// PreparedQuery.ExecuteStream[Ctx] and the Rows cursor, and therefore
-// the one place streaming runs report into the metrics registry and
-// slow-query log. On cancellation it returns the partial statistics
-// (Cancelled set) alongside the error.
-func streamDecoded(db *Database, label string, q *core.Query, o core.Options, emit func(row []string) bool) (Stats, error) {
-	start := time.Now()
-	var decoded []string
-	stats, err := core.XJoinStream(q, o, func(t relational.Tuple) bool {
-		if decoded == nil {
-			decoded = make([]string, len(t))
-		}
-		for i, v := range t {
-			decoded[i] = xmldb.DisplayValue(db.dict, v)
-		}
-		return emit(decoded)
-	})
-	db.observeRun(label, start, stats, err)
-	if stats == nil {
-		return Stats{}, err
-	}
-	return *stats, err
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relational"
+	"repro/internal/xmldb"
 )
 
 // PreparedQuery is a query frozen for repeated execution — the serving
@@ -37,11 +38,11 @@ type PreparedQuery struct {
 // here instead of at execution. The original Query remains usable and
 // unaffected by later With* calls on it.
 func (q *Query) Prepare() (*PreparedQuery, error) {
-	opts, err := core.Prepare(q.q, q.opts)
+	p, err := q.prepared()
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{db: q.db, q: q.q, opts: opts, label: q.label}, nil
+	return &p, nil
 }
 
 // PrepareCtx is Prepare bounded by ctx: an already-cancelled context (or
@@ -142,8 +143,29 @@ func (p *PreparedQuery) ExecuteStream(emit func(row []string) bool, opts ...Exec
 // returns the statistics of the completed portion (Cancelled set) with an
 // error matching ErrCancelled. emit is never called after the executor
 // observed the cancellation.
+//
+// It is the one streaming body: Query.ExecXJoinStream[Ctx] and both Rows
+// cursors run through it, so it is the one place streaming runs report
+// into the metrics registry and slow-query log. Each validated tuple is
+// decoded into a reused string row for emit.
 func (p *PreparedQuery) ExecuteStreamCtx(ctx context.Context, emit func(row []string) bool, opts ...ExecOptions) (Stats, error) {
-	return streamDecoded(p.db, p.label, p.q, p.execOpts(ctx, opts), emit)
+	start := time.Now()
+	dict := p.db.dict
+	var decoded []string
+	stats, err := core.XJoinStream(p.q, p.execOpts(ctx, opts), func(t relational.Tuple) bool {
+		if decoded == nil {
+			decoded = make([]string, len(t))
+		}
+		for i, v := range t {
+			decoded[i] = xmldb.DisplayValue(dict, v)
+		}
+		return emit(decoded)
+	})
+	p.db.observeRun(p.label, start, stats, err)
+	if stats == nil {
+		return Stats{}, err
+	}
+	return *stats, err
 }
 
 // Exists reports whether the query has at least one answer, stopping the

@@ -81,12 +81,16 @@ func startRows(ctx context.Context, cols []string, run func(ctx context.Context,
 		// (or in the caller's emit path) must still end the stream, or Next
 		// and Close would block forever on a dead producer. The recovered
 		// panic surfaces through Err as an ErrInternal-matching error.
+		// done closes first: a consumer that sees the row channel closed
+		// must already see the final Err and Stats. The faultpoint between
+		// the two closes lets tests widen that window (Sleep rules only).
 		defer func() {
 			if v := recover(); v != nil {
 				r.err = core.Internal(fmt.Errorf("rows executor panic: %v", v))
 			}
-			close(r.rows)
 			close(r.done)
+			_ = faultpoint.Inject("xmjoin.rows.closing")
+			close(r.rows)
 		}()
 		var (
 			pending [][]string // chunk under construction
@@ -264,16 +268,15 @@ func (r *Rows) Close() error {
 // Rows starts the streaming join and returns a pull-based cursor over its
 // answers; see Rows for the contract. The join runs in a managed
 // goroutine from this call on — always Close the cursor (ctx ending also
-// stops it). The only error returned eagerly is a context that is already
-// over; plan and execution errors surface through Err after Next returns
-// false, like database/sql.
+// stops it). Errors returned eagerly are plan errors (the implicit
+// Prepare) and a context that is already over; execution errors surface
+// through Err after Next returns false, like database/sql.
 func (q *Query) Rows(ctx context.Context) (*Rows, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return nil, core.Cancelled(ctx.Err())
+	p, err := q.prepared()
+	if err != nil {
+		return nil, err
 	}
-	return startRows(ctx, q.PlanOrder(), func(rctx context.Context, emit func([]string) bool) (Stats, error) {
-		return q.ExecXJoinStreamCtx(rctx, emit)
-	}), nil
+	return p.Rows(ctx)
 }
 
 // Rows is Query.Rows over the frozen plan, with per-call ExecOptions

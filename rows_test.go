@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultpoint"
 	"repro/internal/testutil"
 )
 
@@ -395,5 +396,51 @@ func TestRowsNextBatch(t *testing.T) {
 	}
 	if n != len(want) {
 		t.Fatalf("mixed consumption yielded %d rows, want %d", n, len(want))
+	}
+}
+
+// TestRowsEndCarriesOutcome: once Next or NextBatch reports the end of
+// the stream, Err and Stats must already describe the finished run — a
+// /stream trailer is written right then. The executor's faultpoint
+// between its two closes holds the window open, so a cursor that closed
+// its row channel before its done signal fails here on every run.
+func TestRowsEndCarriesOutcome(t *testing.T) {
+	faultpoint.Install(faultpoint.Rule{Name: "xmjoin.rows.closing", Sleep: 50 * time.Millisecond})
+	defer faultpoint.Reset()
+	db := figure1DB(t)
+	q, err := db.Query("/invoices/orderLine[orderID][ISBN]/price", "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, drain := range []struct {
+		name string
+		f    func(*Rows) int
+	}{
+		{"NextBatch", func(r *Rows) (n int) {
+			for b := r.NextBatch(); b != nil; b = r.NextBatch() {
+				n += len(b)
+			}
+			return n
+		}},
+		{"Next", func(r *Rows) (n int) {
+			for r.Next() {
+				n++
+			}
+			return n
+		}},
+	} {
+		rows, err := q.Rows(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := drain.f(rows)
+		stats, ok := rows.Stats()
+		if !ok || stats.Output != n || n == 0 {
+			t.Fatalf("%s: drained %d rows, then Stats = %+v, ok=%v", drain.name, n, stats, ok)
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", drain.name, err)
+		}
+		rows.Close()
 	}
 }

@@ -583,16 +583,6 @@ func (q *Query) WithAD(m ADMode) *Query {
 	return q
 }
 
-// WithPartialAD enables the paper's future-work extension: ancestor-
-// descendant twig edges filter intermediate results during the join instead
-// of only being validated at the end. Since the lazy structural index made
-// this the default, the call mainly tags the run as "xjoin+"; use WithAD
-// to pick a specific mechanism (or switch the filtering off).
-func (q *Query) WithPartialAD(on bool) *Query {
-	q.opts.PartialAD = on
-	return q
-}
-
 // WithLazyPC swaps the materialized value-level edge indexes behind the
 // parent-child atoms for the lazy region-interval access path: per-binding
 // child/parent hops instead of an up-front per-edge index build. Results
@@ -675,29 +665,24 @@ func (q *Query) WithLimit(n int) *Query {
 // combined with WithParallelism.
 func (q *Query) Exists() (bool, error) { return q.ExistsCtx(nil) }
 
-// ExistsCtx is Exists bounded by ctx. A true answer found before the
-// context ended is definitive and returned with a nil error; a run
-// cancelled before any answer returns false with an ErrCancelled-matching
-// error, since "no answer so far" proves nothing.
+// ExistsCtx is PreparedQuery.ExistsCtx over an implicit Prepare.
 func (q *Query) ExistsCtx(ctx context.Context) (bool, error) {
-	start := time.Now()
-	found := false
-	st, err := core.XJoinStream(q.q, q.execOptions(ctx), func(relational.Tuple) bool {
-		found = true
-		return false
-	})
-	q.db.observeRun(q.label, start, st, err)
-	if found {
-		return true, nil
+	p, err := q.prepared()
+	if err != nil {
+		return false, err
 	}
-	return false, err
+	return p.ExistsCtx(ctx)
 }
 
-// execOptions layers a per-call context over the query's chained With*
-// options — the same single core.Options-building path PreparedQuery's
-// ExecOptions merge through (see buildExecOptions).
-func (q *Query) execOptions(ctx context.Context) core.Options {
-	return buildExecOptions(q.opts, ctx, nil)
+// prepared freezes the query's options (see Prepare) into a value — the
+// implicit prepare behind Query's execution methods, so each execution
+// shape has one body (PreparedQuery's) and the implicit step allocates
+// nothing of its own. An attached trace times it as a prepare span.
+func (q *Query) prepared() (PreparedQuery, error) {
+	sp := q.opts.Trace.Start("prepare")
+	opts, err := core.Prepare(q.q, q.opts)
+	sp.End()
+	return PreparedQuery{db: q.db, q: q.q, opts: opts, label: q.label}, err
 }
 
 // ExecXJoin evaluates the query with the worst-case optimal multi-model
@@ -712,13 +697,11 @@ func (q *Query) ExecXJoin() (*Result, error) { return q.ExecXJoinCtx(nil) }
 // care about complete answers can keep treating any non-nil error as
 // fatal; callers serving best-effort responses use the partial Result.
 func (q *Query) ExecXJoinCtx(ctx context.Context) (*Result, error) {
-	start := time.Now()
-	r, err := core.XJoin(q.q, q.execOptions(ctx))
-	q.db.observeRun(q.label, start, resultStats(r), err)
-	if r == nil {
+	p, err := q.prepared()
+	if err != nil {
 		return nil, err
 	}
-	return &Result{db: q.db, r: r}, err
+	return p.ExecuteCtx(ctx)
 }
 
 // resultStats projects a possibly-nil core result onto the statistics
@@ -742,7 +725,7 @@ func (q *Query) ExecBaseline() (*Result, error) { return q.ExecBaselineCtx(nil) 
 // That coarse bound is itself an argument for XJoin in serving paths.
 func (q *Query) ExecBaselineCtx(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	r, err := core.Baseline(q.q, q.execOptions(ctx))
+	r, err := core.Baseline(q.q, buildExecOptions(q.opts, ctx, nil))
 	q.db.observeRun(q.label, start, resultStats(r), err)
 	if r == nil {
 		return nil, err
@@ -799,5 +782,9 @@ func (q *Query) ExecXJoinStream(emit func(row []string) bool) (Stats, error) {
 // error matching ErrCancelled. emit is never called after the executor
 // observed the cancellation, so every row emitted is a valid answer.
 func (q *Query) ExecXJoinStreamCtx(ctx context.Context, emit func(row []string) bool) (Stats, error) {
-	return streamDecoded(q.db, q.label, q.q, q.execOptions(ctx), emit)
+	p, err := q.prepared()
+	if err != nil {
+		return Stats{}, err
+	}
+	return p.ExecuteStreamCtx(ctx, emit)
 }
