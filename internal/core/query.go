@@ -437,24 +437,11 @@ func (r *Result) Project(attrs []string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(r.Tuples))
-	out := &Result{Attrs: append([]string(nil), attrs...), Stats: r.Stats}
-	var key []byte
-	for _, t := range r.Tuples {
-		nt := make(relational.Tuple, len(cols))
-		key = key[:0]
-		for i, c := range cols {
-			nt[i] = t[c]
-			v := uint64(t[c])
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32))
-		}
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		out.Tuples = append(out.Tuples, nt)
-	}
-	return out, nil
+	return &Result{
+		Attrs:  append([]string(nil), attrs...),
+		Tuples: relational.ProjectDistinct(r.Tuples, cols),
+		Stats:  r.Stats,
+	}, nil
 }
 
 // Table materializes the result as a relational table named name.

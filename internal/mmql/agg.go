@@ -2,11 +2,13 @@ package mmql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/relational"
+	"repro/internal/xmldb"
 )
 
 // AggFunc names an aggregate function.
@@ -104,9 +106,13 @@ func (o *Output) String() string {
 	return sb.String()
 }
 
-// aggregate evaluates grouped aggregates over decoded rows. attrs names the
-// input columns; items and groupBy come from the statement.
-func aggregate(attrs []string, rows [][]string, items []SelectItem, groupBy []string) (*Output, error) {
+// aggregate evaluates grouped aggregates over encoded tuples. attrs names
+// the tuple positions; items and groupBy come from the statement. Groups
+// are keyed on Values and come out in ascending Value order of their GROUP
+// BY key, at most limit of them (0 = all). COUNT never decodes; SUM, MIN
+// and MAX decode and parse each distinct Value once. An empty input has no
+// groups, so it yields no rows.
+func aggregate(attrs []string, tuples []relational.Tuple, dict *relational.Dict, items []SelectItem, groupBy []string, limit int) (*Output, error) {
 	col := make(map[string]int, len(attrs))
 	for i, a := range attrs {
 		col[a] = i
@@ -142,112 +148,158 @@ func aggregate(attrs []string, rows [][]string, items []SelectItem, groupBy []st
 			return nil, fmt.Errorf("mmql: aggregate references unknown attribute %q", it.Attr)
 		}
 	}
-
-	type groupState struct {
-		key    []string
-		counts []int
-		sums   []float64
-		mins   []string
-		maxs   []string
-		seen   []bool
-	}
-	groups := make(map[string]*groupState)
-	var orderKeys []string
-	for _, row := range rows {
-		key := make([]string, len(groupCols))
-		for i, c := range groupCols {
-			key[i] = row[c]
-		}
-		k := strings.Join(key, "\x00")
-		g, ok := groups[k]
-		if !ok {
-			g = &groupState{
-				key:    key,
-				counts: make([]int, len(items)),
-				sums:   make([]float64, len(items)),
-				mins:   make([]string, len(items)),
-				maxs:   make([]string, len(items)),
-				seen:   make([]bool, len(items)),
-			}
-			groups[k] = g
-			orderKeys = append(orderKeys, k)
-		}
-		for i, it := range items {
-			if it.Func == AggNone {
-				continue
-			}
-			if it.Attr == "*" {
-				g.counts[i]++
-				continue
-			}
-			v := row[col[it.Attr]]
-			g.counts[i]++
-			switch it.Func {
-			case AggSum:
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return nil, fmt.Errorf("mmql: SUM(%s): non-numeric value %q", it.Attr, v)
-				}
-				g.sums[i] += f
-			case AggMin:
-				if !g.seen[i] || compareMaybeNumeric(v, g.mins[i]) < 0 {
-					g.mins[i] = v
-				}
-			case AggMax:
-				if !g.seen[i] || compareMaybeNumeric(v, g.maxs[i]) > 0 {
-					g.maxs[i] = v
-				}
-			}
-			g.seen[i] = true
-		}
-	}
-	sort.Strings(orderKeys)
-
 	out := &Output{}
 	for _, it := range items {
 		out.Attrs = append(out.Attrs, it.Label())
+	}
+	if len(tuples) == 0 {
+		return out, nil
+	}
+
+	// Group ids per tuple; without GROUP BY every tuple is in group 0 and
+	// the group's size is the tuple count.
+	groups := relational.NewKeySet(len(groupCols))
+	var gids []int32
+	var sizes []int
+	if len(groupCols) == 0 {
+		groups.Add(nil)
+		sizes = []int{len(tuples)}
+	} else {
+		gids = make([]int32, len(tuples))
+		key := make([]relational.Value, len(groupCols))
+		for r, t := range tuples {
+			for i, c := range groupCols {
+				key[i] = t[c]
+			}
+			g, added := groups.Add(key)
+			if added {
+				sizes = append(sizes, 0)
+			}
+			sizes[g]++
+			gids[r] = int32(g)
+		}
+	}
+	group := func(r int) int {
+		if gids == nil {
+			return 0
+		}
+		return int(gids[r])
+	}
+
+	cells := cellCache{dict: dict, m: make(map[relational.Value]cell)}
+	sums := make([][]float64, len(items))
+	best := make([][]relational.Value, len(items)) // MIN/MAX per group
+	for i, it := range items {
+		if it.Func != AggSum && it.Func != AggMin && it.Func != AggMax {
+			continue
+		}
+		c := col[it.Attr]
+		if it.Func == AggSum {
+			sums[i] = make([]float64, groups.Len())
+		} else {
+			best[i] = make([]relational.Value, groups.Len())
+			for g := range best[i] {
+				best[i][g] = relational.Null
+			}
+		}
+		for r, t := range tuples {
+			g, v := group(r), t[c]
+			switch it.Func {
+			case AggSum:
+				x := cells.get(v)
+				if !x.num {
+					return nil, fmt.Errorf("mmql: SUM(%s): non-numeric value %q", it.Attr, x.s)
+				}
+				sums[i][g] += x.f
+			case AggMin, AggMax:
+				b := best[i][g]
+				if b == v {
+					continue
+				}
+				if b == relational.Null {
+					best[i][g] = v
+					continue
+				}
+				d := compareCells(cells.get(v), cells.get(b))
+				if (it.Func == AggMin && d < 0) || (it.Func == AggMax && d > 0) {
+					best[i][g] = v
+				}
+			}
+		}
+	}
+
+	keys := groups.Tuples()
+	order := make([]int, len(keys))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(keys[a], keys[b]) })
+	if limit > 0 && len(order) > limit {
+		order = order[:limit]
 	}
 	groupPos := make(map[string]int, len(groupBy))
 	for i, g := range groupBy {
 		groupPos[g] = i
 	}
-	for _, k := range orderKeys {
-		g := groups[k]
-		row := make([]string, len(items))
+	flat := make([]string, len(order)*len(items))
+	out.Rows = make([][]string, len(order))
+	for n, g := range order {
+		row := flat[n*len(items) : (n+1)*len(items) : (n+1)*len(items)]
 		for i, it := range items {
-			switch {
-			case it.Func == AggNone:
-				row[i] = g.key[groupPos[it.Attr]]
-			case it.Func == AggCount:
-				row[i] = strconv.Itoa(g.counts[i])
-			case it.Func == AggSum:
-				row[i] = strconv.FormatFloat(g.sums[i], 'g', -1, 64)
-			case it.Func == AggMin:
-				row[i] = g.mins[i]
-			case it.Func == AggMax:
-				row[i] = g.maxs[i]
+			switch it.Func {
+			case AggNone:
+				row[i] = xmldb.DisplayValue(dict, keys[g][groupPos[it.Attr]])
+			case AggCount:
+				row[i] = strconv.Itoa(sizes[g])
+			case AggSum:
+				row[i] = strconv.FormatFloat(sums[i][g], 'g', -1, 64)
+			case AggMin, AggMax:
+				row[i] = cells.get(best[i][g]).s
 			}
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[n] = row
 	}
 	return out, nil
 }
 
-// compareMaybeNumeric compares numerically when both values parse as
-// numbers, lexicographically otherwise — so MIN(price) behaves sanely on
-// numeric text without a type system.
-func compareMaybeNumeric(a, b string) int {
-	fa, ea := strconv.ParseFloat(a, 64)
-	fb, eb := strconv.ParseFloat(b, 64)
-	if ea == nil && eb == nil {
+// cell is one decoded Value: its display text and, when the text parses
+// as a number, that number.
+type cell struct {
+	s   string
+	f   float64
+	num bool
+}
+
+// cellCache decodes and parses each distinct Value once.
+type cellCache struct {
+	dict *relational.Dict
+	m    map[relational.Value]cell
+}
+
+func (c *cellCache) get(v relational.Value) cell {
+	if x, ok := c.m[v]; ok {
+		return x
+	}
+	s := xmldb.DisplayValue(c.dict, v)
+	f, err := strconv.ParseFloat(s, 64)
+	x := cell{s: s, f: f, num: err == nil}
+	c.m[v] = x
+	return x
+}
+
+// compareCells compares numerically when both values parse as numbers,
+// lexicographically otherwise — so MIN(price) behaves sanely on numeric
+// text without a type system.
+func compareCells(a, b cell) int {
+	if a.num && b.num {
 		switch {
-		case fa < fb:
+		case a.f < b.f:
 			return -1
-		case fa > fb:
+		case a.f > b.f:
 			return 1
 		default:
 			return 0
 		}
 	}
-	return strings.Compare(a, b)
+	return strings.Compare(a.s, b.s)
 }

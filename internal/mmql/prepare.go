@@ -20,13 +20,29 @@ import (
 // perform pure join work against the database's shared catalog: zero
 // parsing, zero planning, zero atom construction.
 //
-// LIMIT truncates the output rows; for a SELECT * with no residual
-// filters it is additionally pushed into the engine, so the join itself
-// stops after LIMIT answers. Only there do engine answers map 1:1 to
-// output rows: a projection list deduplicates, so an engine-side stop
+// The residual work runs on the engine's dictionary-encoded tuples, and
+// only the output rows are decoded to strings. Residual selections look
+// their constant up in the dictionary once per execution (a constant it
+// lacks answers empty without a scan) and compare Values. Answers have
+// set semantics: a SELECT list projects and deduplicates, while SELECT *
+// is the engine's result, already a set. COUNT(*) without GROUP BY is the
+// tuple count; GROUP BY groups on Values.
+//
+// Output order: rows ascend in Value order over the output columns —
+// aggregates over their GROUP BY columns. Values number a database's
+// strings in first-load order, so this is not string order. For SELECT *
+// it is the generic join's serial emission order, which morsel-parallel
+// runs reproduce, so the order is the same at every parallelism.
+//
+// LIMIT truncates the ordered output rows; for a SELECT * with no
+// residual filters it is additionally pushed into the engine, so the join
+// itself stops after LIMIT answers. Only there do engine answers map 1:1
+// to output rows: a projection list deduplicates, so an engine-side stop
 // could silently drop distinct output rows, and those cases limit after
-// the join. EXISTS statements stream the join and stop at the first
-// answer that survives the residual filters.
+// the join. A parallel run that stops at a pushed LIMIT keeps a
+// scheduling-dependent subset of the answers (still in order). EXISTS
+// statements stream the join and stop at the first answer that survives
+// the residual filters.
 //
 // EXPLAIN statements execute to the plan text (see Explain); EXPLAIN
 // ANALYZE statements run for real under a new trace on every execution
@@ -166,37 +182,6 @@ func (p *Prepared) analyze(ctx context.Context, opts []xmjoin.ExecOptions) (*Out
 	return &Output{Text: tr.Render(), Stats: out.Stats}, nil
 }
 
-// finish applies the residual post-join work to a materialized result.
-func (p *Prepared) finish(res *xmjoin.Result) (*Output, error) {
-	var err error
-	if len(p.remaining) > 0 {
-		res, err = applyFilters(res, p.remaining)
-		if err != nil {
-			return nil, err
-		}
-	}
-	attrs := res.Attrs()
-	rows := make([][]string, res.Len())
-	for i := range rows {
-		rows[i] = append([]string(nil), res.Row(i)...)
-	}
-	var out *Output
-	if p.st.HasAggregates() || len(p.st.GroupBy) > 0 {
-		out, err = aggregate(attrs, rows, p.st.Items, p.st.GroupBy)
-	} else {
-		out, err = projectOutput(attrs, rows, p.st.Items)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if p.st.Limit > 0 && len(out.Rows) > p.st.Limit {
-		out.Rows = out.Rows[:p.st.Limit]
-	}
-	stats := res.Stats()
-	out.Stats = &stats
-	return out, nil
-}
-
 // executeExists answers an EXISTS statement, always streaming: without
 // residual filters it stops at the first validated answer; with them it
 // streams on, applying the filters per row, and stops at the first row
@@ -252,10 +237,10 @@ func filterColumns(order []string, filters []Filter) ([]int, error) {
 // Streamable reports whether the statement's answers can leave row by row
 // with unchanged values: aggregates and EXISTS need the whole result (or
 // a probe), EXPLAIN returns text and the baseline materializes, so none
-// of those are streamable; plain SELECTs are. Streaming
-// skips projectOutput's dedup/sort — callers get the engine's answer
-// stream order, possibly with duplicate projected rows (documented at the
-// serving layer).
+// of those are streamable; plain SELECTs are. A stream filters and
+// projects each answer but neither deduplicates nor orders: rows arrive
+// in the engine's emission order, and a SELECT list may repeat rows that
+// ExecuteCtx returns once (documented at the serving layer).
 func (p *Prepared) Streamable() bool {
 	return p.q != nil && !p.st.Explain && !p.st.Exists && !p.st.HasAggregates() && len(p.st.GroupBy) == 0
 }

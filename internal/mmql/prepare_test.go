@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/relational"
+	"repro/internal/xmldb"
 )
 
 // prepareEquivalenceQueries covers every residual-work combination the
@@ -80,10 +83,9 @@ func TestPreparedWarmSkipsCatalog(t *testing.T) {
 	}
 }
 
-// TestPreparedRowsStreaming: the streaming cursor must deliver the same
-// multiset of projected, filtered rows as the materialized path (order
-// and dedup differ by contract — streaming skips projectOutput's
-// dedup/sort).
+// TestPreparedRowsStreaming: the streaming cursor must deliver the
+// projected, filtered rows of the materialized path — as a multiset, since
+// a stream neither deduplicates nor orders (see Streamable).
 func TestPreparedRowsStreaming(t *testing.T) {
 	db := testDB(t)
 	src := `SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`
@@ -211,5 +213,82 @@ func TestPreparedAggregateNotStreamable(t *testing.T) {
 	}
 	if _, err := p.Rows(context.Background()); err == nil {
 		t.Fatal("Rows on an aggregate: want error")
+	}
+}
+
+// TestResidualFilterAbsentConstant: a residual WHERE constant the
+// dictionary has never seen answers empty and complete — not cancelled,
+// not an error — for plain, projected and aggregate statements alike.
+func TestResidualFilterAbsentConstant(t *testing.T) {
+	db := testDB(t)
+	for _, src := range []string{
+		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'nobody'`,
+		`SELECT price FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'nobody'`,
+		`SELECT userID, COUNT(*) FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'nobody' GROUP BY userID`,
+	} {
+		p, err := PrepareString(db, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.ExecuteCtx(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if len(out.Rows) != 0 || out.Stats == nil || out.Stats.Cancelled {
+			t.Fatalf("%s: rows=%v stats=%+v, want an empty complete answer", src, out.Rows, out.Stats)
+		}
+	}
+}
+
+// TestFilterTuplesDisplayForm: a residual constant matches a Value
+// exactly when DisplayValue renders the Value as the constant, so the
+// "<node#N>" form finds its structural node and no text.
+func TestFilterTuplesDisplayForm(t *testing.T) {
+	dict := relational.NewDict()
+	node := dict.Intern(xmldb.SyntheticValueName(3))
+	text := dict.Intern("<node#4>") // real text that merely looks structural
+	other := dict.Intern("x")
+	tuples := []relational.Tuple{{node}, {text}, {other}}
+	for _, c := range []struct {
+		value string
+		want  []relational.Tuple
+	}{
+		{"<node#3>", []relational.Tuple{{node}}},
+		{"<node#4>", []relational.Tuple{{text}}},
+		{"x", []relational.Tuple{{other}}},
+		{"\x00node#3", nil},
+		{"<node#9>", nil},
+	} {
+		got, err := filterTuples([]string{"a"}, tuples, dict, []Filter{{Attr: "a", Value: c.value}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("WHERE a = %q kept %v, want %v", c.value, got, c.want)
+		}
+	}
+}
+
+// TestWhereNodeDisplayForm: a WHERE constant in the "<node#N>" form the
+// output uses for a textless element selects that element, whether the
+// statement materializes, runs VIA baseline or asks EXISTS.
+func TestWhereNodeDisplayForm(t *testing.T) {
+	db := testDB(t)
+	const from = ` FROM TWIG '/invoices/orderLine[orderID]/price' WHERE orderLine = '<node#5>'`
+	for _, via := range []string{"", " VIA baseline"} {
+		out, err := RunString(db, `SELECT orderLine, price`+from+via)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := [][]string{{"<node#5>", "20"}}; !reflect.DeepEqual(out.Rows, want) {
+			t.Fatalf("%q: rows %v, want %v", via, out.Rows, want)
+		}
+	}
+	out, err := RunString(db, `EXISTS SELECT *`+from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Rows[0][0] != "true" {
+		t.Fatalf("EXISTS = %v, want true", out.Rows)
 	}
 }

@@ -3,10 +3,10 @@ package mmql
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	xmjoin "repro"
 	"repro/internal/twig"
+	"repro/internal/xmldb"
 )
 
 // Run executes a parsed statement against a database: RunCtx with no
@@ -77,7 +77,9 @@ func applyAlgo(q *xmjoin.Query, algo string) error {
 // pattern filters and returns the rewritten patterns plus the selections
 // that could not be pushed (attributes not in any twig, or conflicting
 // with an existing filter — the latter are left to the post-filter, which
-// then correctly yields the empty result).
+// then correctly yields the empty result — and constants in the "<X>"
+// display form, which may name a structural node that a twig's text
+// filter cannot match but the post-filter can).
 func pushdownFilters(st *Statement) (twigs []xmjoin.TwigOn, remaining []Filter, err error) {
 	patterns := make([]*twig.Pattern, len(st.Twigs))
 	for i, src := range st.Twigs {
@@ -88,6 +90,10 @@ func pushdownFilters(st *Statement) (twigs []xmjoin.TwigOn, remaining []Filter, 
 	}
 filters:
 	for _, f := range st.Filters {
+		if _, ok := xmldb.SyntheticDisplayName(f.Value); ok {
+			remaining = append(remaining, f)
+			continue
+		}
 		for _, p := range patterns {
 			n := p.NodeByTag(f.Attr)
 			if n == nil {
@@ -111,69 +117,4 @@ filters:
 		twigs[i] = xmjoin.TwigOn{Doc: st.Twigs[i].Doc, Twig: p.String()}
 	}
 	return twigs, remaining, nil
-}
-
-// applyFilters keeps the rows matching every attr = value selection.
-func applyFilters(res *xmjoin.Result, filters []Filter) (*xmjoin.Result, error) {
-	cols, err := filterColumns(res.Attrs(), filters)
-	if err != nil {
-		return nil, err
-	}
-	return res.Filter(func(row []string) bool {
-		for i, f := range filters {
-			if row[cols[i]] != f.Value {
-				return false
-			}
-		}
-		return true
-	}), nil
-}
-
-// projectOutput projects decoded rows onto the select list (nil = all
-// columns), deduplicates, and sorts for deterministic output.
-func projectOutput(attrs []string, rows [][]string, items []SelectItem) (*Output, error) {
-	out := &Output{}
-	var cols []int
-	if items == nil {
-		out.Attrs = attrs
-		for i := range attrs {
-			cols = append(cols, i)
-		}
-	} else {
-		pos := make(map[string]int, len(attrs))
-		for i, a := range attrs {
-			pos[a] = i
-		}
-		for _, it := range items {
-			c, ok := pos[it.Attr]
-			if !ok {
-				return nil, fmt.Errorf("mmql: SELECT references unknown attribute %q", it.Attr)
-			}
-			cols = append(cols, c)
-			out.Attrs = append(out.Attrs, it.Attr)
-		}
-	}
-	seen := make(map[string]bool, len(rows))
-	for _, row := range rows {
-		pr := make([]string, len(cols))
-		for i, c := range cols {
-			pr[i] = row[c]
-		}
-		key := fmt.Sprint(pr)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out.Rows = append(out.Rows, pr)
-	}
-	sort.Slice(out.Rows, func(i, j int) bool {
-		a, b := out.Rows[i], out.Rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return out, nil
 }

@@ -378,8 +378,10 @@ type streamChunk struct {
 
 // handleStream is POST /stream: answers leave as NDJSON chunks while the
 // join still runs, backed by the pull cursor's NextBatch. Streaming
-// bypasses the materialized path's dedup/sort — rows arrive in engine
-// order and a projected SELECT may repeat rows (documented contract).
+// skips the materialized finish's dedup and Value order: rows arrive in
+// the engine's emission order (serial order only at Parallelism 1) and a
+// projected SELECT may repeat rows that /query returns once (documented
+// contract).
 // Statements that are not Streamable (aggregates, GROUP BY, EXISTS,
 // EXPLAIN, VIA baseline) fall back to materialized execution and stream
 // the finished rows in chunks.

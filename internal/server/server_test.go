@@ -250,41 +250,55 @@ func TestExplainStatementBypassesCache(t *testing.T) {
 }
 
 // TestQueryMatchesRun: /query and mmql.RunStringCtx are one statement
-// pipeline, so they must return the same columns and rows for every
-// statement shape (the list mirrors mmql's prepared-equivalence suite).
-// The server runs serially here, as RunStringCtx does: a LIMIT pushed into
-// a parallel run keeps a scheduling-dependent subset of the answers.
+// pipeline, so they must return the same columns and rows, in the same
+// order, for every statement shape (the list mirrors mmql's
+// prepared-equivalence suite). RunStringCtx runs serially; the server
+// answers both serially and at its default parallelism, except for the
+// statement whose LIMIT is pushed into the engine: a parallel run keeps a
+// scheduling-dependent subset of the answers there.
 func TestQueryMatchesRun(t *testing.T) {
-	srv, ts := demoServer(t, Config{Parallelism: 1})
+	srv, serial := demoServer(t, Config{Parallelism: 1})
+	_, parallel := demoServer(t, Config{})
 	tn, _ := srv.Tenant("acme")
-	for _, src := range []string{
-		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
-		`SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
-		`SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`,
-		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`,
-		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' LIMIT 1`,
-		`SELECT userID FROM R, TWIG '/invoices/orderLine[orderID]/price' LIMIT 1`,
-		`SELECT COUNT(*), MIN(price) FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
-		`SELECT userID, COUNT(*) FROM R, TWIG '/invoices/orderLine[orderID]/price' GROUP BY userID`,
-		`EXISTS SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`,
-		`EXISTS SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'nobody'`,
-		`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA hybrid`,
+	for _, c := range []struct {
+		src         string
+		pushedLimit bool
+	}{
+		{src: `SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`},
+		{src: `SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price'`},
+		{src: `SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`},
+		{src: `SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`},
+		{src: `SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' LIMIT 1`, pushedLimit: true},
+		{src: `SELECT userID FROM R, TWIG '/invoices/orderLine[orderID]/price' LIMIT 1`},
+		{src: `SELECT COUNT(*), MIN(price) FROM R, TWIG '/invoices/orderLine[orderID]/price'`},
+		{src: `SELECT userID, COUNT(*) FROM R, TWIG '/invoices/orderLine[orderID]/price' GROUP BY userID`},
+		{src: `EXISTS SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price'`},
+		{src: `EXISTS SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'nobody'`},
+		{src: `SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA hybrid`},
+		{src: `SELECT gx, gz FROM G1, G2`},
+		{src: DemoHeavyQuery()},
 	} {
-		want, err := mmql.RunStringCtx(context.Background(), tn.db, src)
+		want, err := mmql.RunStringCtx(context.Background(), tn.db, c.src)
 		if err != nil {
-			t.Fatalf("%s: run: %v", src, err)
+			t.Fatalf("%s: run: %v", c.src, err)
 		}
-		resp, data := postJSON(t, ts.URL+"/query", queryRequest{Tenant: "acme", Query: src})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", src, resp.StatusCode, data)
+		servers := []*httptest.Server{serial, parallel}
+		if c.pushedLimit {
+			servers = servers[:1]
 		}
-		var qr queryResponse
-		if err := json.Unmarshal(data, &qr); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(qr.Columns, want.Attrs) || !reflect.DeepEqual(qr.Rows, want.Rows) {
-			t.Fatalf("%s:\n/query columns=%v rows=%v\n  run columns=%v rows=%v",
-				src, qr.Columns, qr.Rows, want.Attrs, want.Rows)
+		for _, ts := range servers {
+			resp, data := postJSON(t, ts.URL+"/query", queryRequest{Tenant: "acme", Query: c.src})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", c.src, resp.StatusCode, data)
+			}
+			var qr queryResponse
+			if err := json.Unmarshal(data, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(qr.Columns, want.Attrs) || !reflect.DeepEqual(qr.Rows, want.Rows) {
+				t.Fatalf("%s (serial server: %v):\n/query columns=%v rows=%v\n  run columns=%v rows=%v",
+					c.src, ts == serial, qr.Columns, qr.Rows, want.Attrs, want.Rows)
+			}
 		}
 	}
 }

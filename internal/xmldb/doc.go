@@ -35,6 +35,32 @@ func DisplayValue(dict *relational.Dict, v relational.Value) string {
 	return s
 }
 
+// LookupDisplay inverts DisplayValue without interning: it returns every
+// Value of dict that DisplayValue renders as s — the text s itself and,
+// for s of the form "<X>", the synthetic value X.
+func LookupDisplay(dict *relational.Dict, s string) []relational.Value {
+	var vs []relational.Value
+	if v, ok := dict.Lookup(s); ok && !IsSyntheticValue(dict, v) {
+		vs = append(vs, v)
+	}
+	if name, ok := SyntheticDisplayName(s); ok {
+		if v, ok := dict.Lookup(name); ok {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// SyntheticDisplayName reports whether s has the "<X>" form DisplayValue
+// gives synthetic values, and returns the dictionary string of the
+// synthetic value it would render.
+func SyntheticDisplayName(s string) (string, bool) {
+	if len(s) < 2 || s[0] != '<' || s[len(s)-1] != '>' {
+		return "", false
+	}
+	return "\x00" + s[1:len(s)-1], true
+}
+
 // Document is an immutable XML document. Build one with a Builder or Parse.
 type Document struct {
 	dict     *relational.Dict

@@ -3,10 +3,11 @@ package xmjoin
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/relational"
 	"repro/internal/xmldb"
 )
 
@@ -31,6 +32,14 @@ func (r *Result) Row(i int) []string {
 		out[j] = xmldb.DisplayValue(r.db.dict, v)
 	}
 	return out
+}
+
+// Encoded exposes the answer as the engine holds it: the tuples, in
+// Attrs order, of Values from the database's dictionary (decode with
+// xmldb.DisplayValue, as Row does). Both alias the result and the
+// database; callers must not mutate them.
+func (r *Result) Encoded() ([]relational.Tuple, *relational.Dict) {
+	return r.r.Tuples, r.db.dict
 }
 
 // Stats describes the run that produced this result.
@@ -58,17 +67,20 @@ func (r *Result) Filter(keep func(row []string) bool) *Result {
 }
 
 // Sort orders the tuples lexicographically by their decoded string values,
-// making output deterministic and human-stable.
+// making output deterministic and human-stable. Ties keep their order.
 func (r *Result) Sort() *Result {
-	sort.SliceStable(r.r.Tuples, func(i, j int) bool {
-		a, b := r.Row(i), r.Row(j)
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	type decoded struct {
+		row []string
+		t   relational.Tuple
+	}
+	rows := make([]decoded, r.Len())
+	for i := range rows {
+		rows[i] = decoded{r.Row(i), r.r.Tuples[i]}
+	}
+	slices.SortStableFunc(rows, func(a, b decoded) int { return slices.Compare(a.row, b.row) })
+	for i, d := range rows {
+		r.r.Tuples[i] = d.t
+	}
 	return r
 }
 
